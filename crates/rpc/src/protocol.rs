@@ -469,84 +469,125 @@ mod tests {
     use super::*;
     use nnrt_serve::{JobPhase, JobStatus};
 
-    fn round_trip_request(req: Request) {
+    /// Encodes `req`, checks the exact payload text against `golden`, and
+    /// decodes it back.
+    fn round_trip_request(req: Request, golden: &str) {
         let text = encode(&req);
+        assert_eq!(text, golden, "wire text of {req:?}");
         let back: Request = decode(&text).expect("request decodes");
         assert_eq!(req, back, "payload was: {text}");
     }
 
-    fn round_trip_response(resp: Response) {
+    /// Encodes `resp`, checks the exact payload text against `golden`, and
+    /// decodes it back.
+    fn round_trip_response(resp: Response, golden: &str) {
         let text = encode(&resp);
+        assert_eq!(text, golden, "wire text of {resp:?}");
         let back: Response = decode(&text).expect("response decodes");
         assert_eq!(resp, back, "payload was: {text}");
     }
 
     #[test]
     fn requests_round_trip() {
-        round_trip_request(Request::Submit(SubmitSpec {
-            name: "dcgan-a".to_string(),
-            model: "dcgan".to_string(),
-            batch: 4,
-            steps: 3,
-            priority: 2,
-            weight: 1.5,
-        }));
-        round_trip_request(Request::Status { job_id: 7 });
-        round_trip_request(Request::ListJobs);
-        round_trip_request(Request::Snapshot);
-        round_trip_request(Request::Metrics);
-        round_trip_request(Request::Events);
-        round_trip_request(Request::Shutdown);
+        round_trip_request(
+            Request::Submit(SubmitSpec {
+                name: "dcgan-a".to_string(),
+                model: "dcgan".to_string(),
+                batch: 4,
+                steps: 3,
+                priority: 2,
+                weight: 1.5,
+            }),
+            r#"{"type":"submit","spec":{"name":"dcgan-a","model":"dcgan","batch":4,"steps":3,"priority":2,"weight":1.5}}"#,
+        );
+        round_trip_request(
+            Request::Submit(SubmitSpec::new("dcgan")),
+            r#"{"type":"submit","spec":{"name":"","model":"dcgan","batch":0,"steps":3,"priority":0,"weight":1.0}}"#,
+        );
+        round_trip_request(
+            Request::Status { job_id: 7 },
+            r#"{"type":"status","job_id":7}"#,
+        );
+        round_trip_request(Request::ListJobs, r#"{"type":"list_jobs"}"#);
+        round_trip_request(Request::Snapshot, r#"{"type":"snapshot"}"#);
+        round_trip_request(Request::Metrics, r#"{"type":"metrics"}"#);
+        round_trip_request(Request::Events, r#"{"type":"events"}"#);
+        round_trip_request(Request::Shutdown, r#"{"type":"shutdown"}"#);
     }
 
     #[test]
     fn responses_round_trip() {
-        round_trip_response(Response::Submitted { job_id: 3 });
-        round_trip_response(Response::Job(JobStatus {
-            id: 3,
-            name: "dcgan-3".to_string(),
-            model: "dcgan".to_string(),
-            phase: JobPhase::Running,
-            steps_done: 1,
-            steps: 3,
-            node: Some(0),
-            durability_disabled: false,
-        }));
-        round_trip_response(Response::Jobs(vec![]));
-        round_trip_response(Response::Metrics {
-            text: "# TYPE nnrt_queue_depth gauge\nnnrt_queue_depth{clock=\"sim\"} 2\n".to_string(),
-        });
-        round_trip_response(Response::Events(vec![nnrt_obs::Event {
-            seq: 0,
-            at: 1.5,
-            clock: nnrt_obs::Clock::Sim,
-            kind: nnrt_obs::EventKind::Place,
-            job: Some(1),
-            node: Some(0),
-            detail: "dcgan-1".to_string(),
-        }]));
-        round_trip_response(Response::Snapshot(SnapshotInfo {
-            entries: 12,
-            hits: 30,
-            misses: 6,
-            evictions: 0,
-            evicted_bytes: 0,
-            hit_rate: 30.0 / 36.0,
-            snapshot: "{}".to_string(),
-        }));
-        round_trip_response(Response::Bye {
-            report: "{\"jobs\": []}".to_string(),
-        });
-        round_trip_response(Response::Error(ErrorFrame {
-            kind: ErrorKind::Saturated,
-            message: "queue full".to_string(),
-            retry_after_secs: Some(2.25),
-        }));
-        round_trip_response(Response::Error(ErrorFrame {
-            kind: ErrorKind::UnknownModel,
-            message: "no such model".to_string(),
-            retry_after_secs: None,
-        }));
+        round_trip_response(
+            Response::Submitted { job_id: 3 },
+            r#"{"type":"submitted","job_id":3}"#,
+        );
+        round_trip_response(
+            Response::Job(JobStatus {
+                id: 3,
+                name: "dcgan-3".to_string(),
+                model: "dcgan".to_string(),
+                phase: JobPhase::Running,
+                steps_done: 1,
+                steps: 3,
+                node: Some(0),
+                durability_disabled: false,
+            }),
+            r#"{"type":"job","job":{"id":3,"name":"dcgan-3","model":"dcgan","phase":"Running","steps_done":1,"steps":3,"node":0,"durability_disabled":false}}"#,
+        );
+        round_trip_response(Response::Jobs(vec![]), r#"{"type":"jobs","jobs":[]}"#);
+        round_trip_response(
+            Response::Metrics {
+                text: "# TYPE nnrt_queue_depth gauge\nnnrt_queue_depth{clock=\"sim\"} 2\n"
+                    .to_string(),
+            },
+            r##"{"type":"metrics","text":"# TYPE nnrt_queue_depth gauge\nnnrt_queue_depth{clock=\"sim\"} 2\n"}"##,
+        );
+        round_trip_response(
+            Response::Events(vec![nnrt_obs::Event {
+                seq: 0,
+                at: 1.5,
+                clock: nnrt_obs::Clock::Sim,
+                kind: nnrt_obs::EventKind::Place,
+                job: Some(1),
+                node: Some(0),
+                detail: "dcgan-1".to_string(),
+            }]),
+            r#"{"type":"events","events":[{"seq":0,"at":1.5,"clock":"Sim","kind":"Place","job":1,"node":0,"detail":"dcgan-1"}]}"#,
+        );
+        round_trip_response(
+            Response::Snapshot(SnapshotInfo {
+                entries: 12,
+                hits: 30,
+                misses: 6,
+                evictions: 0,
+                evicted_bytes: 0,
+                hit_rate: 30.0 / 36.0,
+                snapshot: "{}".to_string(),
+            }),
+            r#"{"type":"snapshot","store":{"entries":12,"hits":30,"misses":6,"evictions":0,"evicted_bytes":0,"hit_rate":0.8333333333333334,"snapshot":"{}"}}"#,
+        );
+        round_trip_response(
+            Response::Bye {
+                report: "{\"jobs\": []}".to_string(),
+            },
+            r#"{"type":"bye","report":"{\"jobs\": []}"}"#,
+        );
+        round_trip_response(
+            Response::Error(ErrorFrame {
+                kind: ErrorKind::Saturated,
+                message: "queue full".to_string(),
+                retry_after_secs: Some(2.25),
+            }),
+            r#"{"type":"error","error":{"kind":"Saturated","message":"queue full","retry_after_secs":2.25}}"#,
+        );
+        round_trip_response(
+            Response::Error(ErrorFrame {
+                kind: ErrorKind::UnknownModel,
+                message: "no such model".to_string(),
+                retry_after_secs: None,
+            }),
+            r#"{"type":"error","error":{"kind":"UnknownModel","message":"no such model","retry_after_secs":null}}"#,
+        );
     }
 
     #[test]

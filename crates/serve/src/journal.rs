@@ -600,14 +600,53 @@ mod tests {
         ]
     }
 
+    /// The exact payload text of the header record followed by each
+    /// `sample_records()` entry. The admit record's graph is pinned by its
+    /// own serializer; everything around it is literal.
+    fn golden_payloads() -> Vec<String> {
+        let graph = serde_json::to_string(&nnrt_models::dcgan(4).graph).unwrap();
+        vec![
+            r#"{"type":"header","format":"nnrt-job-journal","version":1}"#.to_string(),
+            format!(
+                r#"{{"type":"admit","id":0,"name":"dcgan-0","model":"dcgan","steps":2,"priority":1,"weight":1.5,"graph":{graph}}}"#
+            ),
+            r#"{"type":"place","id":0,"node":1}"#.to_string(),
+            r#"{"type":"store_insert","machine":42,"profiles":[{"kind":"MatMul","shape":[8,8],"compact":{"samples":[[1,2.0],[4,0.5]]},"scatter":{"samples":[[1,2.5]]}}]}"#.to_string(),
+            r#"{"type":"checkpoint","id":0,"steps_done":1,"at":3.25,"fitted_keys":[["MatMul",[8,8]]]}"#.to_string(),
+            r#"{"type":"evict","id":0,"at":4.0}"#.to_string(),
+            r#"{"type":"retry","id":0,"node":0}"#.to_string(),
+            r#"{"type":"complete","id":0,"name":"dcgan-0","model":"dcgan","steps":2,"node":0,"at":9.5}"#.to_string(),
+        ]
+    }
+
     #[test]
     fn every_record_kind_round_trips() {
-        for rec in sample_records() {
+        let records: Vec<JournalRecord> = std::iter::once(JournalRecord::header())
+            .chain(sample_records())
+            .collect();
+        let goldens = golden_payloads();
+        assert_eq!(records.len(), goldens.len());
+        for (rec, golden) in records.into_iter().zip(goldens) {
             let bytes = encode_record(&rec);
+            assert_eq!(
+                std::str::from_utf8(&bytes[RECORD_HEADER_LEN..]).unwrap(),
+                golden,
+                "payload of the {} record",
+                rec.tag()
+            );
             let (back, used) = decode_record(&bytes).expect("record decodes");
             assert_eq!(used, bytes.len());
             assert_eq!(back, rec);
         }
+
+        // One whole framed record: length, FNV-1a checksum, payload.
+        let payload = br#"{"type":"place","id":4,"node":1}"#;
+        let mut framed = vec![0, 0, 0, 32, 63, 4, 217, 109, 129, 59, 80, 138];
+        framed.extend_from_slice(payload);
+        assert_eq!(
+            encode_record(&JournalRecord::Place { id: 4, node: 1 }),
+            framed
+        );
     }
 
     #[test]
