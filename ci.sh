@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Local CI: format check, lints, then the tier-1 and workspace test suites.
+# Local CI: format check, lints, then the tier-1, workspace and benchmark test suites.
 # Everything runs offline against the vendored path dependencies.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -16,6 +16,11 @@ cargo test -q --offline
 
 echo "== workspace tests =="
 cargo test --workspace -q --offline
+
+# The benchmark builds these crates from source against its own lockfile:
+# a crate API change or lock drift that would break it fails here.
+echo "== perfbench tests (locked) =="
+cargo test -q --offline --locked --manifest-path perfbench/Cargo.toml
 
 echo "== chaos suite (pinned seed 99) =="
 cargo test -q --offline --test chaos_fleet

@@ -8,6 +8,7 @@
 //! duration-dependent [`NoiseModel`].
 
 use nnrt_graph::{op_key, DataflowGraph, NodeId, OpKey};
+use nnrt_manycore::hash::{fnv1a64_update, mix64, FNV1A64_OFFSET};
 use nnrt_manycore::{CostModel, KnlCostModel, NoiseModel, SharingMode, WorkProfile};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -73,19 +74,12 @@ impl OpCatalog {
 /// seeds, so it must never depend on process-local state (hash randomization,
 /// enum discriminant order, allocation addresses).
 fn key_fingerprint(key: &OpKey) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    let mut eat = |byte: u8| {
-        h ^= byte as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    };
-    for b in key.0.to_string().bytes() {
-        eat(b);
-    }
-    eat(0xFF); // separator: kind name and dims must not concatenate ambiguously
+    let mut h = FNV1A64_OFFSET;
+    fnv1a64_update(&mut h, key.0.to_string().as_bytes());
+    // Separator: kind name and dims must not concatenate ambiguously.
+    fnv1a64_update(&mut h, &[0xFF]);
     for &dim in &key.1 .0 {
-        for b in (dim as u64).to_le_bytes() {
-            eat(b);
-        }
+        fnv1a64_update(&mut h, &(dim as u64).to_le_bytes());
     }
     h
 }
@@ -96,15 +90,6 @@ fn key_fingerprint(key: &OpKey) -> u64 {
 /// therefore independent of worker count and climb order.
 pub fn per_key_seed(base: u64, key: &OpKey) -> u64 {
     mix64(base ^ key_fingerprint(key))
-}
-
-/// SplitMix64 finalizer, decorrelating the per-key seeds derived from a
-/// base seed and a key fingerprint.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Measures standalone operation runs on the simulated machine.

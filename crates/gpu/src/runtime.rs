@@ -28,7 +28,6 @@ use crate::profile::{GpuProfile, GpuProfileConfig};
 use nnrt_graph::{DataflowGraph, NodeId, OpKey};
 use nnrt_sched::exec::NodeTiming;
 use nnrt_sched::{OpCatalog, ProfilerPool};
-use serde::{Deserialize, Error, Serialize, Value};
 
 /// How ready kernels are packed onto streams.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -56,67 +55,6 @@ impl Default for GpuStrategy {
         GpuStrategy::CorunControlled {
             max_streams: 4,
             demand_budget: 1.15,
-        }
-    }
-}
-
-// The vendored serde derive only covers fieldless enums, so the tagged
-// object shape is written out by hand.
-impl Serialize for GpuStrategy {
-    fn to_json_value(&self) -> Value {
-        let obj = |fields: Vec<(&str, Value)>| {
-            Value::Object(
-                fields
-                    .into_iter()
-                    .map(|(k, v)| (k.to_string(), v))
-                    .collect(),
-            )
-        };
-        match self {
-            GpuStrategy::Serial => obj(vec![("mode", Value::Str("serial".to_string()))]),
-            GpuStrategy::Static { streams } => obj(vec![
-                ("mode", Value::Str("static".to_string())),
-                ("streams", Value::Uint(*streams as u64)),
-            ]),
-            GpuStrategy::CorunControlled {
-                max_streams,
-                demand_budget,
-            } => obj(vec![
-                ("mode", Value::Str("corun_controlled".to_string())),
-                ("max_streams", Value::Uint(*max_streams as u64)),
-                ("demand_budget", Value::Float(*demand_budget)),
-            ]),
-        }
-    }
-}
-
-impl Deserialize for GpuStrategy {
-    fn from_json_value(v: &Value) -> Result<Self, Error> {
-        let mode = v
-            .get("mode")
-            .and_then(Value::as_str)
-            .ok_or_else(|| Error::missing_field("GpuStrategy", "mode"))?;
-        match mode {
-            "serial" => Ok(GpuStrategy::Serial),
-            "static" => Ok(GpuStrategy::Static {
-                streams: v
-                    .get("streams")
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| Error::missing_field("GpuStrategy", "streams"))?
-                    as u32,
-            }),
-            "corun_controlled" => Ok(GpuStrategy::CorunControlled {
-                max_streams: v
-                    .get("max_streams")
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| Error::missing_field("GpuStrategy", "max_streams"))?
-                    as u32,
-                demand_budget: v
-                    .get("demand_budget")
-                    .and_then(Value::as_f64)
-                    .ok_or_else(|| Error::missing_field("GpuStrategy", "demand_budget"))?,
-            }),
-            other => Err(Error::msg(format!("unknown GpuStrategy mode `{other}`"))),
         }
     }
 }

@@ -29,6 +29,8 @@
 //!   scatter affinity, primary vs. hyper-thread contexts).
 //! * [`engine`] — the discrete-event engine that co-runs jobs and models
 //!   cross-job interference (SMT sharing, MCDRAM bandwidth contention).
+//! * [`hash`] — the stable FNV-1a and SplitMix64 helpers every crate
+//!   fingerprints, checksums and derives seeds with.
 //!
 //! ## Determinism
 //!
@@ -40,6 +42,7 @@
 pub mod cost;
 pub mod engine;
 pub mod error;
+pub mod hash;
 pub mod health;
 pub mod noise;
 pub mod placement;

@@ -7,6 +7,7 @@
 //! hardware.
 
 use crate::cost::KnlParams;
+use crate::hash::{fnv1a64_update, FNV1A64_OFFSET};
 use crate::topology::Topology;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -19,25 +20,15 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct MachineSignature(pub u64);
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= b as u64;
-        *hash = hash.wrapping_mul(FNV_PRIME);
-    }
-}
-
 impl MachineSignature {
     /// Computes the signature of a machine description.
     pub fn of(topo: &Topology, params: &KnlParams) -> Self {
-        let mut h = FNV_OFFSET;
+        let mut h = FNV1A64_OFFSET;
         // Domain tag: a KNL signature can never collide with a GPU one even
         // if the hashed numbers happen to coincide.
-        fnv1a(&mut h, b"knl");
+        fnv1a64_update(&mut h, b"knl");
         for n in [topo.tiles, topo.cores_per_tile, topo.smt_per_core] {
-            fnv1a(&mut h, &n.to_le_bytes());
+            fnv1a64_update(&mut h, &n.to_le_bytes());
         }
         for f in [
             params.core_peak_flops,
@@ -52,10 +43,10 @@ impl MachineSignature {
             params.bw_interference,
             params.cache_interference,
         ] {
-            fnv1a(&mut h, &f.to_bits().to_le_bytes());
+            fnv1a64_update(&mut h, &f.to_bits().to_le_bytes());
         }
         for f in params.smt_peak {
-            fnv1a(&mut h, &f.to_bits().to_le_bytes());
+            fnv1a64_update(&mut h, &f.to_bits().to_le_bytes());
         }
         MachineSignature(h)
     }
@@ -67,13 +58,13 @@ impl MachineSignature {
     /// a KNL signature — curves fitted on one device class are invisible to
     /// the other even in a store shared by a mixed fleet.
     pub fn of_gpu(sms: u32, cores_per_sm: u32, l2_bytes: u64, hbm_bw: f64) -> Self {
-        let mut h = FNV_OFFSET;
-        fnv1a(&mut h, b"gpu");
+        let mut h = FNV1A64_OFFSET;
+        fnv1a64_update(&mut h, b"gpu");
         for n in [sms, cores_per_sm] {
-            fnv1a(&mut h, &n.to_le_bytes());
+            fnv1a64_update(&mut h, &n.to_le_bytes());
         }
-        fnv1a(&mut h, &l2_bytes.to_le_bytes());
-        fnv1a(&mut h, &hbm_bw.to_bits().to_le_bytes());
+        fnv1a64_update(&mut h, &l2_bytes.to_le_bytes());
+        fnv1a64_update(&mut h, &hbm_bw.to_bits().to_le_bytes());
         MachineSignature(h)
     }
 
@@ -86,12 +77,12 @@ impl MachineSignature {
     /// effects) never warm-start a single-node job of the same device
     /// class, and vice versa.
     pub fn of_cluster(member: MachineSignature, nodes: u32, latency: f64, bandwidth: f64) -> Self {
-        let mut h = FNV_OFFSET;
-        fnv1a(&mut h, b"clu");
-        fnv1a(&mut h, &member.0.to_le_bytes());
-        fnv1a(&mut h, &nodes.to_le_bytes());
+        let mut h = FNV1A64_OFFSET;
+        fnv1a64_update(&mut h, b"clu");
+        fnv1a64_update(&mut h, &member.0.to_le_bytes());
+        fnv1a64_update(&mut h, &nodes.to_le_bytes());
         for f in [latency, bandwidth] {
-            fnv1a(&mut h, &f.to_bits().to_le_bytes());
+            fnv1a64_update(&mut h, &f.to_bits().to_le_bytes());
         }
         MachineSignature(h)
     }

@@ -87,6 +87,7 @@ pub struct JitterBackoff {
     state: u64,
 }
 
+// Copy of SplitMix64 from nnrt_manycore::hash: nnrt-rpc has no dependency on nnrt-manycore.
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;

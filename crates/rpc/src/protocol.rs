@@ -12,11 +12,11 @@
 //! The length covers the version byte plus the JSON payload and is capped at
 //! [`MAX_FRAME_LEN`], so a garbage prefix cannot make a peer allocate
 //! unboundedly. The payload is a single JSON object tagged by a `"type"`
-//! member — the same hand-rolled tagged-object convention the chaos module
-//! uses, because the vendored serde derive cannot handle payload-carrying
-//! enums. Unknown tags, missing fields, and version skew all decode to
-//! typed errors, never panics; a server answers them with an
-//! [`ErrorFrame`] rather than dropping the connection.
+//! member: [`Request`] and [`Response`] derive it as internally tagged
+//! enums, the same encoding the journal's records use. Unknown tags,
+//! missing fields, and version skew all decode to typed errors, never
+//! panics; a server answers them with an [`ErrorFrame`] rather than
+//! dropping the connection.
 //!
 //! The error taxonomy ([`ErrorKind`]) distinguishes backpressure
 //! (`Saturated`, which carries the fleet's concrete `retry_after_secs`
@@ -27,7 +27,7 @@
 
 use nnrt_obs::Event;
 use nnrt_serve::{JobStatus, StoreStats};
-use serde::{Deserialize, Error as SerdeError, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::io::{Read, Write};
 
@@ -150,10 +150,11 @@ pub fn read_frame(r: &mut impl Read) -> Result<String, FrameError> {
 /// resolves `model` + `batch` to a graph through the shared
 /// [`nnrt_models::by_name`] registry), query one job or all jobs, read the
 /// profile store's snapshot and counters, or shut the service down.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "type", rename_all = "snake_case")]
 pub enum Request {
     /// Submit a training job.
-    Submit(SubmitSpec),
+    Submit(#[serde(rename = "spec")] SubmitSpec),
     /// Query one job by id.
     Status {
         /// Id returned by an earlier `Submit`.
@@ -295,7 +296,8 @@ impl SnapshotInfo {
 }
 
 /// What the server answers.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "type", rename_all = "snake_case")]
 pub enum Response {
     /// The submit was admitted under this id.
     Submitted {
@@ -307,7 +309,7 @@ pub enum Response {
     /// Every admitted job's status, sorted by id.
     Jobs(Vec<JobStatus>),
     /// The profile store's counters and snapshot.
-    Snapshot(SnapshotInfo),
+    Snapshot(#[serde(rename = "store")] SnapshotInfo),
     /// The metrics exposition text.
     Metrics {
         /// Prometheus-style text exposition (see `nnrt_obs::Registry`).
@@ -323,135 +325,6 @@ pub enum Response {
     },
     /// The request was refused.
     Error(ErrorFrame),
-}
-
-// ---------------------------------------------------------------------------
-// Tagged-object encoding (the vendored serde derive cannot do payload
-// enums, so Request/Response are written out by hand).
-// ---------------------------------------------------------------------------
-
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-fn tag_of(v: &Value) -> Result<&str, SerdeError> {
-    v.get("type")
-        .and_then(Value::as_str)
-        .ok_or_else(|| SerdeError::msg("message object lacks a string `type` tag"))
-}
-
-fn field<'a>(v: &'a Value, name: &str) -> Result<&'a Value, SerdeError> {
-    v.get(name)
-        .ok_or_else(|| SerdeError::msg(format!("missing field `{name}`")))
-}
-
-impl Serialize for Request {
-    fn to_json_value(&self) -> Value {
-        match self {
-            Request::Submit(spec) => obj(vec![
-                ("type", Value::Str("submit".to_string())),
-                ("spec", spec.to_json_value()),
-            ]),
-            Request::Status { job_id } => obj(vec![
-                ("type", Value::Str("status".to_string())),
-                ("job_id", Value::Uint(*job_id)),
-            ]),
-            Request::ListJobs => obj(vec![("type", Value::Str("list_jobs".to_string()))]),
-            Request::Snapshot => obj(vec![("type", Value::Str("snapshot".to_string()))]),
-            Request::Metrics => obj(vec![("type", Value::Str("metrics".to_string()))]),
-            Request::Events => obj(vec![("type", Value::Str("events".to_string()))]),
-            Request::Shutdown => obj(vec![("type", Value::Str("shutdown".to_string()))]),
-        }
-    }
-}
-
-impl Deserialize for Request {
-    fn from_json_value(v: &Value) -> Result<Self, SerdeError> {
-        match tag_of(v)? {
-            "submit" => Ok(Request::Submit(SubmitSpec::from_json_value(field(
-                v, "spec",
-            )?)?)),
-            "status" => Ok(Request::Status {
-                job_id: u64::from_json_value(field(v, "job_id")?)?,
-            }),
-            "list_jobs" => Ok(Request::ListJobs),
-            "snapshot" => Ok(Request::Snapshot),
-            "metrics" => Ok(Request::Metrics),
-            "events" => Ok(Request::Events),
-            "shutdown" => Ok(Request::Shutdown),
-            other => Err(SerdeError::msg(format!("unknown request type `{other}`"))),
-        }
-    }
-}
-
-impl Serialize for Response {
-    fn to_json_value(&self) -> Value {
-        match self {
-            Response::Submitted { job_id } => obj(vec![
-                ("type", Value::Str("submitted".to_string())),
-                ("job_id", Value::Uint(*job_id)),
-            ]),
-            Response::Job(status) => obj(vec![
-                ("type", Value::Str("job".to_string())),
-                ("job", status.to_json_value()),
-            ]),
-            Response::Jobs(jobs) => obj(vec![
-                ("type", Value::Str("jobs".to_string())),
-                ("jobs", jobs.to_json_value()),
-            ]),
-            Response::Snapshot(info) => obj(vec![
-                ("type", Value::Str("snapshot".to_string())),
-                ("store", info.to_json_value()),
-            ]),
-            Response::Metrics { text } => obj(vec![
-                ("type", Value::Str("metrics".to_string())),
-                ("text", Value::Str(text.clone())),
-            ]),
-            Response::Events(events) => obj(vec![
-                ("type", Value::Str("events".to_string())),
-                ("events", events.to_json_value()),
-            ]),
-            Response::Bye { report } => obj(vec![
-                ("type", Value::Str("bye".to_string())),
-                ("report", Value::Str(report.clone())),
-            ]),
-            Response::Error(frame) => obj(vec![
-                ("type", Value::Str("error".to_string())),
-                ("error", frame.to_json_value()),
-            ]),
-        }
-    }
-}
-
-impl Deserialize for Response {
-    fn from_json_value(v: &Value) -> Result<Self, SerdeError> {
-        match tag_of(v)? {
-            "submitted" => Ok(Response::Submitted {
-                job_id: u64::from_json_value(field(v, "job_id")?)?,
-            }),
-            "job" => Ok(Response::Job(JobStatus::from_json_value(field(v, "job")?)?)),
-            "jobs" => Ok(Response::Jobs(Vec::from_json_value(field(v, "jobs")?)?)),
-            "snapshot" => Ok(Response::Snapshot(SnapshotInfo::from_json_value(field(
-                v, "store",
-            )?)?)),
-            "metrics" => Ok(Response::Metrics {
-                text: String::from_json_value(field(v, "text")?)?,
-            }),
-            "events" => Ok(Response::Events(Vec::from_json_value(field(v, "events")?)?)),
-            "bye" => Ok(Response::Bye {
-                report: String::from_json_value(field(v, "report")?)?,
-            }),
-            "error" => Ok(Response::Error(ErrorFrame::from_json_value(field(
-                v, "error",
-            )?)?)),
-            other => Err(SerdeError::msg(format!("unknown response type `{other}`"))),
-        }
-    }
 }
 
 /// Encodes a message to its JSON payload text.

@@ -9,11 +9,11 @@
 //! JSON, every time. An empty plan injects nothing and leaves the fleet's
 //! behaviour byte-identical to a run without chaos.
 //!
-//! The plan is data, not callbacks — it serializes, diffs, and can be
-//! generated from a seed ([`FaultPlan::from_seed`]) or hand-written by a
-//! test that wants one precise failure.
+//! The plan is data, not callbacks: it can be generated from a seed
+//! ([`FaultPlan::from_seed`]) or hand-written by a test that wants one
+//! precise failure.
 
-use serde::{Serialize, Value};
+use nnrt_manycore::hash::mix64;
 
 /// Initial re-admission backoff after a crash evicts a job, seconds.
 pub const INITIAL_BACKOFF_SECS: f64 = 1.0;
@@ -70,52 +70,8 @@ impl FaultEvent {
     }
 }
 
-// The vendored serde derive only covers fieldless enums, so the tagged
-// object shape is written out by hand.
-impl Serialize for FaultEvent {
-    fn to_json_value(&self) -> Value {
-        let obj = |fields: Vec<(&str, Value)>| {
-            Value::Object(
-                fields
-                    .into_iter()
-                    .map(|(k, v)| (k.to_string(), v))
-                    .collect(),
-            )
-        };
-        match self {
-            FaultEvent::NodeCrash {
-                node,
-                at,
-                down_secs,
-            } => obj(vec![
-                ("type", Value::Str("node_crash".to_string())),
-                ("node", Value::Uint(*node as u64)),
-                ("at", Value::Float(*at)),
-                ("down_secs", Value::Float(*down_secs)),
-            ]),
-            FaultEvent::NodeSlowdown {
-                node,
-                at,
-                factor,
-                duration_secs,
-            } => obj(vec![
-                ("type", Value::Str("node_slowdown".to_string())),
-                ("node", Value::Uint(*node as u64)),
-                ("at", Value::Float(*at)),
-                ("factor", Value::Float(*factor)),
-                ("duration_secs", Value::Float(*duration_secs)),
-            ]),
-            FaultEvent::StoreCorruption { at, drop_fraction } => obj(vec![
-                ("type", Value::Str("store_corruption".to_string())),
-                ("at", Value::Float(*at)),
-                ("drop_fraction", Value::Float(*drop_fraction)),
-            ]),
-        }
-    }
-}
-
 /// A scripted, seeded set of faults plus the profiling budget they stress.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// The scripted events (the fleet fires them in time order).
     pub events: Vec<FaultEvent>,
@@ -133,15 +89,6 @@ impl Default for FaultPlan {
     fn default() -> Self {
         Self::none()
     }
-}
-
-/// SplitMix64 finalizer: the deterministic "randomness" behind seeded plans
-/// and corruption victim selection (no RNG dependency, stable forever).
-pub(crate) fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Uniform value in `[0, 1)` derived from `(seed, stream)`.

@@ -42,7 +42,7 @@ use crate::store::{ProfileStore, StoreError};
 use nnrt_cluster::{ClusterConfig, ClusterMode};
 use nnrt_gpu::{GpuRuntime, GpuRuntimeConfig, GpuSpec};
 use nnrt_graph::{DataflowGraph, OpKey};
-use nnrt_manycore::{KnlCostModel, MachineSignature, NodeHealth};
+use nnrt_manycore::{hash, KnlCostModel, MachineSignature, NodeHealth};
 use nnrt_obs::{Clock, EventKind, Obs, ObsConfig};
 use nnrt_sched::{
     export_chrome_trace, export_lane_chrome_trace, OpCatalog, ProfilerPool, Runtime, RuntimeConfig,
@@ -1204,10 +1204,7 @@ impl Fleet {
     /// Per-job profiling seed: decorrelates jobs while keeping the fleet
     /// reproducible from `config.seed`.
     fn job_seed(&self, id: JobId) -> u64 {
-        let mut z = self.config.seed ^ id.0.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        hash::splitmix64_finalize(self.config.seed ^ id.0.wrapping_mul(hash::SPLITMIX64_GAMMA))
     }
 
     /// The node new work should land on at simulated time `now`: least

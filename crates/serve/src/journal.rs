@@ -19,10 +19,9 @@
 //! +-------------------+------------------------+--------------------+
 //! ```
 //!
-//! The payload is a single JSON object tagged by a `"type"` member — the
-//! same hand-rolled tagged-object convention the chaos and RPC layers use,
-//! because the vendored serde derive cannot handle payload-carrying enums.
-//! The length is capped at [`MAX_RECORD_LEN`] so a corrupt prefix cannot
+//! The payload is a single JSON object tagged by a `"type"` member:
+//! [`JournalRecord`] derives it as an internally tagged enum, the same
+//! encoding the RPC wire uses. The length is capped at [`MAX_RECORD_LEN`] so a corrupt prefix cannot
 //! force an unbounded allocation, and the checksum turns torn or bit-flipped
 //! suffixes into typed [`RecordError`]s instead of silently wrong records.
 //!
@@ -47,9 +46,10 @@
 //! discards the tail — exactly the write-ahead-log contract.
 
 use nnrt_graph::{DataflowGraph, OpKey};
+use nnrt_manycore::hash::fnv1a64;
 use nnrt_manycore::MachineSignature;
 use nnrt_sched::KeyProfile;
-use serde::{Deserialize, Error as SerdeError, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -70,17 +70,6 @@ pub const MAX_RECORD_LEN: u32 = 64 * 1024 * 1024;
 /// Bytes of framing before each record's payload (`u32` length + `u64`
 /// FNV-1a checksum).
 pub const RECORD_HEADER_LEN: usize = 12;
-
-/// FNV-1a 64-bit over `bytes` — the per-record checksum (the same hash
-/// family [`MachineSignature`] uses for machine fingerprints).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// A typed failure while decoding one journal record.
 #[derive(Debug, Clone, PartialEq)]
@@ -133,7 +122,8 @@ impl std::error::Error for RecordError {}
 /// `StoreInsert` carries the fitted curves a job published, making the
 /// journal a write-ahead log over the [`crate::ProfileStore`] — a crash
 /// between snapshot flushes loses no measured key.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "type", rename_all = "snake_case")]
 pub enum JournalRecord {
     /// First record of every log: format tag + schema version.
     Header {
@@ -237,155 +227,6 @@ impl JournalRecord {
             JournalRecord::Evict { .. } => "evict",
             JournalRecord::Retry { .. } => "retry",
             JournalRecord::Complete { .. } => "complete",
-        }
-    }
-}
-
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-fn tag_of(v: &Value) -> Result<&str, SerdeError> {
-    v.get("type")
-        .and_then(Value::as_str)
-        .ok_or_else(|| SerdeError::msg("record object lacks a string `type` tag"))
-}
-
-fn field<'a>(v: &'a Value, name: &str) -> Result<&'a Value, SerdeError> {
-    v.get(name)
-        .ok_or_else(|| SerdeError::msg(format!("missing field `{name}`")))
-}
-
-impl Serialize for JournalRecord {
-    fn to_json_value(&self) -> Value {
-        match self {
-            JournalRecord::Header { format, version } => obj(vec![
-                ("type", Value::Str("header".to_string())),
-                ("format", Value::Str(format.clone())),
-                ("version", Value::Uint(*version)),
-            ]),
-            JournalRecord::Admit {
-                id,
-                name,
-                model,
-                steps,
-                priority,
-                weight,
-                graph,
-            } => obj(vec![
-                ("type", Value::Str("admit".to_string())),
-                ("id", Value::Uint(*id)),
-                ("name", Value::Str(name.clone())),
-                ("model", Value::Str(model.clone())),
-                ("steps", Value::Uint(*steps as u64)),
-                ("priority", Value::Uint(*priority as u64)),
-                ("weight", Value::Float(*weight)),
-                ("graph", graph.to_json_value()),
-            ]),
-            JournalRecord::Place { id, node } => obj(vec![
-                ("type", Value::Str("place".to_string())),
-                ("id", Value::Uint(*id)),
-                ("node", Value::Uint(*node as u64)),
-            ]),
-            JournalRecord::StoreInsert { machine, profiles } => obj(vec![
-                ("type", Value::Str("store_insert".to_string())),
-                ("machine", machine.to_json_value()),
-                ("profiles", profiles.to_json_value()),
-            ]),
-            JournalRecord::Checkpoint {
-                id,
-                steps_done,
-                at,
-                fitted_keys,
-            } => obj(vec![
-                ("type", Value::Str("checkpoint".to_string())),
-                ("id", Value::Uint(*id)),
-                ("steps_done", Value::Uint(*steps_done as u64)),
-                ("at", Value::Float(*at)),
-                ("fitted_keys", fitted_keys.to_json_value()),
-            ]),
-            JournalRecord::Evict { id, at } => obj(vec![
-                ("type", Value::Str("evict".to_string())),
-                ("id", Value::Uint(*id)),
-                ("at", Value::Float(*at)),
-            ]),
-            JournalRecord::Retry { id, node } => obj(vec![
-                ("type", Value::Str("retry".to_string())),
-                ("id", Value::Uint(*id)),
-                ("node", Value::Uint(*node as u64)),
-            ]),
-            JournalRecord::Complete {
-                id,
-                name,
-                model,
-                steps,
-                node,
-                at,
-            } => obj(vec![
-                ("type", Value::Str("complete".to_string())),
-                ("id", Value::Uint(*id)),
-                ("name", Value::Str(name.clone())),
-                ("model", Value::Str(model.clone())),
-                ("steps", Value::Uint(*steps as u64)),
-                ("node", Value::Uint(*node as u64)),
-                ("at", Value::Float(*at)),
-            ]),
-        }
-    }
-}
-
-impl Deserialize for JournalRecord {
-    fn from_json_value(v: &Value) -> Result<Self, SerdeError> {
-        match tag_of(v)? {
-            "header" => Ok(JournalRecord::Header {
-                format: String::from_json_value(field(v, "format")?)?,
-                version: u64::from_json_value(field(v, "version")?)?,
-            }),
-            "admit" => Ok(JournalRecord::Admit {
-                id: u64::from_json_value(field(v, "id")?)?,
-                name: String::from_json_value(field(v, "name")?)?,
-                model: String::from_json_value(field(v, "model")?)?,
-                steps: u32::from_json_value(field(v, "steps")?)?,
-                priority: u8::from_json_value(field(v, "priority")?)?,
-                weight: f64::from_json_value(field(v, "weight")?)?,
-                graph: DataflowGraph::from_json_value(field(v, "graph")?)?,
-            }),
-            "place" => Ok(JournalRecord::Place {
-                id: u64::from_json_value(field(v, "id")?)?,
-                node: u32::from_json_value(field(v, "node")?)?,
-            }),
-            "store_insert" => Ok(JournalRecord::StoreInsert {
-                machine: MachineSignature::from_json_value(field(v, "machine")?)?,
-                profiles: Vec::from_json_value(field(v, "profiles")?)?,
-            }),
-            "checkpoint" => Ok(JournalRecord::Checkpoint {
-                id: u64::from_json_value(field(v, "id")?)?,
-                steps_done: u32::from_json_value(field(v, "steps_done")?)?,
-                at: f64::from_json_value(field(v, "at")?)?,
-                fitted_keys: Vec::from_json_value(field(v, "fitted_keys")?)?,
-            }),
-            "evict" => Ok(JournalRecord::Evict {
-                id: u64::from_json_value(field(v, "id")?)?,
-                at: f64::from_json_value(field(v, "at")?)?,
-            }),
-            "retry" => Ok(JournalRecord::Retry {
-                id: u64::from_json_value(field(v, "id")?)?,
-                node: u32::from_json_value(field(v, "node")?)?,
-            }),
-            "complete" => Ok(JournalRecord::Complete {
-                id: u64::from_json_value(field(v, "id")?)?,
-                name: String::from_json_value(field(v, "name")?)?,
-                model: String::from_json_value(field(v, "model")?)?,
-                steps: u32::from_json_value(field(v, "steps")?)?,
-                node: u32::from_json_value(field(v, "node")?)?,
-                at: f64::from_json_value(field(v, "at")?)?,
-            }),
-            other => Err(SerdeError::msg(format!("unknown record type `{other}`"))),
         }
     }
 }

@@ -367,7 +367,7 @@ impl ProfileStore {
         keys.sort();
         let victims = (keys.len() as f64 * fraction.clamp(0.0, 1.0)).floor() as usize;
         let mut scored: Vec<(u64, usize)> = (0..keys.len())
-            .map(|i| (crate::chaos::mix64(seed ^ i as u64), i))
+            .map(|i| (nnrt_manycore::hash::mix64(seed ^ i as u64), i))
             .collect();
         scored.sort_unstable();
         for &(_, i) in scored.iter().take(victims) {
