@@ -50,6 +50,11 @@ cmp "$tmpdir/gpu-a.json" "$tmpdir/gpu-b.json" \
 cmp "$tmpdir/gpu-a.json" "$tmpdir/gpu-4w.json" \
   || { echo "gpu profiling changed the report: 1 vs 4 workers differ" >&2; exit 1; }
 echo "gpu fleet deterministic (seed 7 byte-identical; 1 vs 4 profile workers byte-identical)"
+# `nnrt gpu` prints the five-op co-run from the event-driven stream runtime.
+./target/release/nnrt gpu > "$tmpdir/gpu-cli.out"
+grep -q "^stream co-run of the 5 ops: serial .* us -> .* us (4 streams, demand budget 1.15)$" "$tmpdir/gpu-cli.out" \
+  || { echo "nnrt gpu is missing its stream co-run line" >&2; cat "$tmpdir/gpu-cli.out" >&2; exit 1; }
+echo "nnrt gpu co-run smoke ok"
 
 echo "== cluster suite (multi-node sim + fleet determinism) =="
 cargo test -q --offline -p nnrt-cluster

@@ -2,10 +2,13 @@
 //! co-run speedups per op kind, best-vs-default launch-config deltas, and
 //! whole-model step times under the three stream strategies.
 //!
-//! Where `table7_gpu_corun` checks the closed-form pairwise `corun_span`,
-//! this bench drives the same contention rules through the event-driven
-//! multi-stream simulator (`simulate_streams` / `GpuRuntime`) — the paper's
-//! actual execution setting, where kernels start and finish asynchronously.
+//! This is the repo's Table VII bench. It drives the pairwise contention
+//! rule of `GpuModel::corun_span` through the event-driven multi-stream
+//! simulator (`simulate_streams` / `GpuRuntime`) — the paper's actual
+//! execution setting, where kernels start and finish asynchronously — and
+//! the five co-run speedups equal the closed-form ratios bit for bit. The
+//! per-axis Fig. 5 sweeps stay in `fig5_gpu_intraop`; this bench records
+//! only the exhaustive 2-D best.
 
 use nnrt_bench::paper::{FIG5_MAX_DELTA_BLOCKS, FIG5_MAX_DELTA_TPB, TABLE7};
 use nnrt_bench::{ExperimentRecord, Table};

@@ -14,21 +14,21 @@
 //!   operations, but our control over intra-op parallelism should remain
 //!   the same."
 //!
-//! This crate simulates both regimes on top of the per-node runtime and lets
-//! the two claims be checked quantitatively (see the `cluster_scaling`
-//! bench and the crate tests).
+//! Both regimes run on one discrete-event simulator ([`sim`]): compute lanes
+//! and interconnect links are serial resources, gradients and activations
+//! move as events. Its synchronous baseline ([`ClusterStrategy::NoOverlap`])
+//! is the analytic `compute + allreduce` step; the overlapping policies and
+//! microbatch pipelines extend it. The `cluster_scaling` and
+//! `cluster_overlap` benches and the crate tests check the paper's claims.
 
 #![warn(missing_docs)]
 
-pub mod data_parallel;
 pub mod interconnect;
-pub mod model_parallel;
 pub mod sim;
 
-pub use data_parallel::{param_bytes, DataParallelReport, DataParallelTrainer};
 pub use interconnect::{ChunkedAllreduce, Interconnect};
-pub use model_parallel::{partition_graph, ModelParallelReport, ModelParallelTrainer, Partition};
 pub use sim::{
-    per_op_secs, pipeline_stage_profile, simulate_data_parallel, simulate_pipeline, ClusterConfig,
-    ClusterMode, ClusterStepReport, ClusterStrategy, StageSecs,
+    partition_graph, per_op_secs, pipeline_stage_profile, simulate_data_parallel,
+    simulate_pipeline, ClusterConfig, ClusterMode, ClusterStepReport, ClusterStrategy, Partition,
+    StageSecs,
 };

@@ -77,8 +77,8 @@ proptest! {
             ..ClusterConfig::default()
         };
         let report = simulate_data_parallel(&g, &secs, &cfg);
-        let expected = nnrt_cluster::Interconnect::aries()
-            .ring_wire_bytes(nnrt_cluster::param_bytes(&g), nodes);
+        let param_bytes: f64 = nnrt_graph::grad_param_bindings(&g).iter().map(|b| b.bytes).sum();
+        let expected = nnrt_cluster::Interconnect::aries().ring_wire_bytes(param_bytes, nodes);
         prop_assert!(
             (report.bytes_on_wire - expected).abs() / expected < 1e-9,
             "wire bytes must equal the analytic ring volume: {} vs {}",

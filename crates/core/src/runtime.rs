@@ -164,46 +164,22 @@ impl Runtime {
     /// only the remainder is climbed. `model().profiling_steps` then reflects
     /// only this job's incremental profiling cost — zero when every key is
     /// already known.
-    pub fn prepare_warm(
-        graph: &DataflowGraph,
-        cost: KnlCostModel,
-        config: RuntimeConfig,
-        warm: &[crate::hillclimb::KeyProfile],
-    ) -> Self {
-        Self::prepare_warm_budgeted(graph, cost, config, warm, u32::MAX)
-    }
-
-    /// Like [`Runtime::prepare_warm`], but the incremental profiling phase
-    /// may spend at most `profiling_budget` simulated training steps. Keys
-    /// that cannot be climbed to convergence within the budget are *degraded*
-    /// instead of erroring: they fall back to the TF-performance-guide
-    /// baseline (the framework-default intra-op parallelism, with no co-run
-    /// candidate curves), and are reported by [`Runtime::degraded_keys`] so a
-    /// service can observe the degradation. A budget of `0` profiles nothing:
-    /// the whole graph runs under the baseline plan.
-    pub fn prepare_warm_budgeted(
-        graph: &DataflowGraph,
-        cost: KnlCostModel,
-        config: RuntimeConfig,
-        warm: &[crate::hillclimb::KeyProfile],
-        profiling_budget: u32,
-    ) -> Self {
-        Self::prepare_warm_pooled(
-            graph,
-            cost,
-            config,
-            warm,
-            profiling_budget,
-            ProfilerPool::serial(),
-        )
-    }
-
-    /// Like [`Runtime::prepare_warm_budgeted`], but the profiling phase
-    /// shards its independent per-key climbs across `pool`'s workers. The
-    /// fitted model, the thread plan, and every step report are
-    /// **byte-identical for every worker count** (per-key seeded measurers;
-    /// see [`crate::profiler`]) — only the wall-clock time of the profiling
-    /// phase changes. `ProfilerPool::serial()` is the exact legacy path.
+    ///
+    /// The incremental profiling phase may spend at most `profiling_budget`
+    /// simulated training steps (`u32::MAX` for no limit). Keys that cannot
+    /// be climbed to convergence within the budget are *degraded* instead of
+    /// erroring: they fall back to the TF-performance-guide baseline (the
+    /// framework-default intra-op parallelism, with no co-run candidate
+    /// curves), and are reported by [`Runtime::degraded_keys`] so a service
+    /// can observe the degradation. A budget of `0` profiles nothing: the
+    /// whole graph runs under the baseline plan.
+    ///
+    /// The profiling phase shards its independent per-key climbs across
+    /// `pool`'s workers. The fitted model, the thread plan, and every step
+    /// report are **byte-identical for every worker count** (per-key seeded
+    /// measurers; see [`crate::profiler`]) — only the wall-clock time of the
+    /// profiling phase changes. `ProfilerPool::serial()` is the
+    /// single-threaded path.
     pub fn prepare_warm_pooled(
         graph: &DataflowGraph,
         cost: KnlCostModel,
@@ -294,7 +270,7 @@ impl Runtime {
     }
 
     /// Keys whose profiling was truncated by the budget passed to
-    /// [`Runtime::prepare_warm_budgeted`]; they execute under the baseline
+    /// [`Runtime::prepare_warm_pooled`]; they execute under the baseline
     /// plan. Empty for unbudgeted runtimes.
     pub fn degraded_keys(&self) -> &[nnrt_graph::OpKey] {
         &self.outcome.degraded

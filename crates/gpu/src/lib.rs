@@ -38,7 +38,6 @@ pub mod model;
 pub mod ops;
 pub mod profile;
 pub mod runtime;
-pub mod streams;
 pub mod tuner;
 
 pub use kernels::{kernel_for, stream_class};
@@ -49,7 +48,6 @@ pub use runtime::{
     simulate_streams, GpuRuntime, GpuRuntimeConfig, GpuStepReport, GpuStrategy, StreamLaunch,
     StreamOutcome,
 };
-pub use streams::{schedule_streams, StreamSchedule, Submission};
 pub use tuner::{
     blocks_ladder, climb_axis, tpb_ladder, tune_exhaustive, tune_independent, GpuTuneResult,
 };

@@ -218,13 +218,6 @@ impl GpuModel {
         let progressed = short; // solo-seconds of the longer stream done
         t_first + (long - progressed)
     }
-
-    /// Speedup of co-running two instances of one kernel over running them
-    /// serially (the paper's Table VII metric).
-    pub fn corun_speedup(&self, kernel: &crate::ops::GpuKernel, cfg: LaunchConfig) -> f64 {
-        let serial = 2.0 * self.time(kernel, cfg);
-        serial / self.corun_span((kernel, cfg), (kernel, cfg))
-    }
 }
 
 #[cfg(test)]
@@ -289,7 +282,8 @@ mod tests {
         let m = GpuModel::p100();
         for kind in GpuOpKind::ALL {
             let k = gpu_op(kind);
-            let s = m.corun_speedup(&k, LaunchConfig::tf_default());
+            let cfg = LaunchConfig::tf_default();
+            let s = 2.0 * m.time(&k, cfg) / m.corun_span((&k, cfg), (&k, cfg));
             assert!(
                 (1.4..=2.0).contains(&s),
                 "{kind:?}: co-run speedup {s:.2} outside the paper's band"

@@ -1,11 +1,14 @@
-//! The paper's Section VII preliminary GPU study, end to end: sweep both
+//! The paper's Section VII preliminary GPU study, end to end: tune both
 //! intra-op parallelism dimensions of a P100 launch configuration for the
-//! five studied ops, find each op's best configuration, and measure the
-//! benefit of co-running two instances on two CUDA streams.
+//! five studied ops, and measure the benefit of co-running two instances
+//! on two CUDA streams.
 //!
 //! Run with: `cargo run --release --example gpu_study`
 
-use nnrt::gpu::{gpu_op, GpuModel, GpuOpKind, LaunchConfig};
+use nnrt::gpu::{
+    gpu_op, simulate_streams, tune_exhaustive, tune_independent, GpuModel, GpuOpKind, LaunchConfig,
+    StreamLaunch,
+};
 
 fn main() {
     let m = GpuModel::p100();
@@ -23,84 +26,36 @@ fn main() {
 
         // Exhaustive 2-D search (the search space the paper's future work
         // wants to shrink to O(2n) by treating the axes independently).
-        let mut best = (default, t_default);
-        for &tpb in &[64u32, 128, 256, 512, 1024, 2048, 4096, 8192, 16384] {
-            for &nb in &[14u32, 28, 56, 112, 224, 448, 896] {
-                let cfg = LaunchConfig {
-                    threads_per_block: tpb,
-                    num_blocks: nb,
-                };
-                let t = m.time(&k, cfg);
-                if t < best.1 {
-                    best = (cfg, t);
-                }
-            }
-        }
-
-        // The paper's dimensional-independence observation: searching each
+        let best = tune_exhaustive(&m, &k);
+        // The paper's dimensional-independence observation: climbing each
         // axis separately (O(2n)) should land near the joint optimum.
-        let best_tpb = [64u32, 128, 256, 512, 1024, 2048, 4096, 8192, 16384]
-            .into_iter()
-            .min_by(|&a, &b| {
-                let ta = m.time(
-                    &k,
-                    LaunchConfig {
-                        threads_per_block: a,
-                        ..default
-                    },
-                );
-                let tb = m.time(
-                    &k,
-                    LaunchConfig {
-                        threads_per_block: b,
-                        ..default
-                    },
-                );
-                ta.partial_cmp(&tb).unwrap()
-            })
-            .unwrap();
-        let best_nb = [14u32, 28, 56, 112, 224, 448, 896]
-            .into_iter()
-            .min_by(|&a, &b| {
-                let ta = m.time(
-                    &k,
-                    LaunchConfig {
-                        threads_per_block: best_tpb,
-                        num_blocks: a,
-                    },
-                );
-                let tb = m.time(
-                    &k,
-                    LaunchConfig {
-                        threads_per_block: best_tpb,
-                        num_blocks: b,
-                    },
-                );
-                ta.partial_cmp(&tb).unwrap()
-            })
-            .unwrap();
-        let independent = m.time(
-            &k,
-            LaunchConfig {
-                threads_per_block: best_tpb,
-                num_blocks: best_nb,
-            },
-        );
+        let independent = tune_independent(&m, &k);
 
-        let corun = m.corun_speedup(&k, default);
+        // Table VII: two instances on two streams vs one after the other.
+        let pair = [StreamLaunch {
+            kernel: k,
+            config: default,
+        }; 2];
+        let corun = simulate_streams(&m, &pair, &[vec![], vec![]], 2, f64::INFINITY).makespan;
+
         println!("{}:", kind.name());
         println!(
             "  default (1024 t/b, 56 blocks): {:.1} us   joint best ({} t/b, {} blocks): {:.1} us ({:+.1}%)",
             t_default * 1e6,
-            best.0.threads_per_block,
-            best.0.num_blocks,
-            best.1 * 1e6,
-            (t_default / best.1 - 1.0) * 100.0
+            best.config.threads_per_block,
+            best.config.num_blocks,
+            best.secs * 1e6,
+            (t_default / best.secs - 1.0) * 100.0
         );
         println!(
-            "  independent-axis search lands within {:.1}% of the joint best",
-            (independent / best.1 - 1.0) * 100.0
+            "  independent-axis search ({} evals) lands within {:.1}% of the joint best ({} evals)",
+            independent.evaluations,
+            (independent.secs / best.secs - 1.0) * 100.0,
+            best.evaluations
         );
-        println!("  two-stream co-run speedup over serial: {corun:.2}x\n");
+        println!(
+            "  two-stream co-run speedup over serial: {:.2}x\n",
+            2.0 * t_default / corun
+        );
     }
 }

@@ -3,37 +3,61 @@
 //!
 //! Run with: `cargo run --release --example multi_knl`
 
-use nnrt::cluster::{DataParallelTrainer, ModelParallelTrainer};
+use nnrt::cluster::{
+    partition_graph, per_op_secs, simulate_data_parallel, ClusterConfig, ClusterStrategy,
+};
+use nnrt::manycore::KnlCostModel;
+use nnrt::sched::{CorunStats, Runtime, RuntimeConfig};
 
 fn main() {
     println!("== data parallelism: DCGAN, global batch 64 ==");
-    let single = DataParallelTrainer::new(1).step(64, |b| nnrt::models::dcgan(b).graph);
+    let mut single = None;
     for nodes in [1u32, 2, 4, 8] {
-        let report = DataParallelTrainer::new(nodes).step(64, |b| nnrt::models::dcgan(b).graph);
+        // Every replica runs the runtime on its shard, then gradients
+        // ring-all-reduce after the backward pass.
+        let g = nnrt::models::dcgan(64 / nodes as usize).graph;
+        let rt = Runtime::prepare(&g, KnlCostModel::knl(), RuntimeConfig::default());
+        let cfg = ClusterConfig {
+            nodes,
+            strategy: ClusterStrategy::NoOverlap,
+            chunks: 1,
+            ..ClusterConfig::default()
+        };
+        let report = simulate_data_parallel(&g, &per_op_secs(&g, rt.run_step(&g).total_secs), &cfg);
+        let single = *single.get_or_insert(report.makespan_secs);
         println!(
             "{nodes} node(s): compute {:6.1} ms + all-reduce {:5.2} ms = {:6.1} ms  (strong-scaling speedup {:.2}x)",
             report.compute_secs * 1e3,
-            report.sync_secs * 1e3,
-            report.total_secs * 1e3,
-            single.total_secs / report.total_secs,
+            report.comm_secs * 1e3,
+            report.makespan_secs * 1e3,
+            single / report.makespan_secs,
         );
     }
 
     println!("\n== model parallelism: Inception-v3, batch 8 ==");
     let g = nnrt::models::inception_v3(8).graph;
     for nodes in [1u32, 2, 4] {
-        let report = ModelParallelTrainer::new(nodes).step(&g);
-        let avg: f64 = report.avg_corunning.iter().sum::<f64>() / report.avg_corunning.len() as f64;
+        let parts = partition_graph(&g, nodes);
+        let mut secs = 0.0;
+        let mut corun = 0.0;
+        for part in &parts {
+            let mut rt =
+                Runtime::prepare(&part.graph, KnlCostModel::knl(), RuntimeConfig::default());
+            rt.record_trace(true);
+            let report = rt.run_step(&part.graph);
+            secs += report.total_secs;
+            corun += CorunStats::from_trace(&report.trace).avg_corunning;
+        }
         println!(
-            "{nodes} partition(s): step {:6.1} ms (transfers {:.2} ms), avg co-running ops per node {:.2}",
-            report.total_secs * 1e3,
-            report.transfer_secs * 1e3,
-            avg
+            "{nodes} partition(s): steps sum to {:6.1} ms, avg co-running ops per node {:.2}",
+            secs * 1e3,
+            corun / parts.len() as f64
         );
     }
     println!(
-        "\nAs the paper's Section V argues: data parallelism leaves the per-node\n\
-         scheduler untouched, while model parallelism shrinks each node's ready\n\
-         pool and with it the co-running opportunity."
+        "\nAs the paper's Section V argues, data parallelism leaves the per-node\n\
+         scheduler untouched. Model parallelism shrinks each node's ready pool,\n\
+         but co-running stays roughly flat here: the optimizer fan-out in the\n\
+         tail partition keeps it alive."
     );
 }

@@ -176,19 +176,30 @@ fn main() -> ExitCode {
                     tuned.evaluations
                 );
             }
-            let subs: Vec<nnrt::gpu::Submission> = nnrt::gpu::GpuOpKind::ALL
+            // One instance of each op, co-run on the default strategy's
+            // streams under its demand budget.
+            let nnrt::gpu::GpuStrategy::CorunControlled {
+                max_streams,
+                demand_budget,
+            } = nnrt::gpu::GpuStrategy::default()
+            else {
+                unreachable!("the default GPU strategy is concurrency-controlled")
+            };
+            let launches: Vec<nnrt::gpu::StreamLaunch> = nnrt::gpu::GpuOpKind::ALL
                 .iter()
-                .map(|&k| nnrt::gpu::Submission {
+                .map(|&k| nnrt::gpu::StreamLaunch {
                     kernel: nnrt::gpu::gpu_op(k),
                     config: nnrt::gpu::LaunchConfig::tf_default(),
                 })
                 .collect();
-            let sched = nnrt::gpu::schedule_streams(&m, &subs);
+            let serial: f64 = launches.iter().map(|l| m.time(&l.kernel, l.config)).sum();
+            let deps = vec![Vec::new(); launches.len()];
+            let outcome =
+                nnrt::gpu::simulate_streams(&m, &launches, &deps, max_streams, demand_budget);
             println!(
-                "stream packing of the 5 ops: serial {:.1} us -> {:.1} us ({} waves)",
-                sched.serial * 1e6,
-                sched.makespan * 1e6,
-                sched.waves.len()
+                "stream co-run of the 5 ops: serial {:.1} us -> {:.1} us ({max_streams} streams, demand budget {demand_budget})",
+                serial * 1e6,
+                outcome.makespan * 1e6,
             );
             ExitCode::SUCCESS
         }
