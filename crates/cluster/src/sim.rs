@@ -235,6 +235,17 @@ impl TaskGraph {
         assert_eq!(processed, n, "task graph must be acyclic");
         levels
     }
+
+    /// List-schedules the graph under `strategy`: bottom-level priority for
+    /// the critical path, task-creation order otherwise (graph construction
+    /// order for compute, gradient-readiness order for transfers).
+    fn schedule(&self, strategy: ClusterStrategy) -> Vec<Span> {
+        let priority = match strategy {
+            ClusterStrategy::CriticalPath => self.bottom_levels(),
+            _ => (0..self.tasks.len()).map(|i| -(i as f64)).collect(),
+        };
+        list_schedule(self, &priority)
+    }
 }
 
 /// One executed task span.
@@ -530,6 +541,12 @@ pub fn simulate_data_parallel(
     op_secs: &[f64],
     cfg: &ClusterConfig,
 ) -> ClusterStepReport {
+    let tg = data_parallel_graph(graph, op_secs, cfg);
+    report(&tg, &tg.schedule(cfg.strategy), cfg, 1..2)
+}
+
+/// The task graph of one data-parallel step: compute lane 0, link 1.
+fn data_parallel_graph(graph: &DataflowGraph, op_secs: &[f64], cfg: &ClusterConfig) -> TaskGraph {
     assert_eq!(graph.len(), op_secs.len());
     assert!(cfg.nodes >= 1);
     const LANE: usize = 0;
@@ -588,14 +605,7 @@ pub fn simulate_data_parallel(
         }
     }
 
-    let priority = match cfg.strategy {
-        ClusterStrategy::CriticalPath => tg.bottom_levels(),
-        // FIFO: creation order (graph construction order for compute,
-        // gradient-readiness order for transfers).
-        _ => (0..tg.tasks.len()).map(|i| -(i as f64)).collect(),
-    };
-    let spans = list_schedule(&tg, &priority);
-    report(&tg, &spans, cfg, LINK..LINK + 1)
+    tg
 }
 
 // ---------------------------------------------------------------------------
@@ -724,6 +734,18 @@ pub fn simulate_pipeline(
     cut_bytes: &[f64],
     cfg: &ClusterConfig,
 ) -> ClusterStepReport {
+    let tg = pipeline_graph(stages, cut_bytes, cfg);
+    let k = stages.len();
+    report(
+        &tg,
+        &tg.schedule(cfg.strategy),
+        cfg,
+        k..k + k.saturating_sub(1),
+    )
+}
+
+/// The task graph of one pipeline step: lanes `0..k`, links after them.
+fn pipeline_graph(stages: &[StageSecs], cut_bytes: &[f64], cfg: &ClusterConfig) -> TaskGraph {
     let k = stages.len();
     assert!(k >= 1);
     assert_eq!(cut_bytes.len(), k.saturating_sub(1));
@@ -789,17 +811,13 @@ pub fn simulate_pipeline(
         }
     }
 
-    let priority = match cfg.strategy {
-        ClusterStrategy::CriticalPath => tg.bottom_levels(),
-        _ => (0..tg.tasks.len()).map(|i| -(i as f64)).collect(),
-    };
-    let spans = list_schedule(&tg, &priority);
-    report(&tg, &spans, cfg, k..k + k.saturating_sub(1))
+    tg
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nnrt_manycore::hash::{fnv1a64_update, FNV1A64_OFFSET};
     use nnrt_sched::{CorunStats, OpCatalog, Runtime, RuntimeConfig, TfExecutor, TfExecutorConfig};
 
     fn dcgan_step() -> (DataflowGraph, Vec<f64>) {
@@ -1105,6 +1123,56 @@ mod tests {
         };
         pin(one_secs, 0.9600673341731791);
         pin(four_secs, 0.8920036685634019);
+    }
+
+    #[test]
+    fn schedules_are_pinned_bit_for_bit() {
+        // Every span's task, start bits and finish bits, in dispatch order,
+        // folded into one FNV-1a digest per model: data parallel under each
+        // strategy at 1 and 4 chunks, then the 8-stage pipeline.
+        let pins = [
+            ("resnet50", 0x686d_335b_8499_9750),
+            ("dcgan", 0x28f8_e251_016c_0398),
+            ("inception", 0xd284_1029_c06e_1559),
+            ("lstm", 0xe5a3_152a_1c53_b348),
+            ("transformer", 0xe9e5_fdf5_2f0d_8ae8),
+        ];
+        for (name, want) in pins {
+            let g = nnrt_models::by_name(name, Some(4)).unwrap().graph;
+            let secs = per_op_secs(&g, 1.0);
+            let mut digest = FNV1A64_OFFSET;
+            let mut fold = |spans: &[Span]| {
+                for s in spans {
+                    fnv1a64_update(&mut digest, &(s.task as u64).to_le_bytes());
+                    fnv1a64_update(&mut digest, &s.start.to_bits().to_le_bytes());
+                    fnv1a64_update(&mut digest, &s.finish.to_bits().to_le_bytes());
+                }
+            };
+            for strategy in [
+                ClusterStrategy::NoOverlap,
+                ClusterStrategy::Fifo,
+                ClusterStrategy::CriticalPath,
+            ] {
+                for chunks in [1, 4] {
+                    let cfg = ClusterConfig {
+                        nodes: 8,
+                        strategy,
+                        chunks,
+                        ..ClusterConfig::default()
+                    };
+                    fold(&data_parallel_graph(&g, &secs, &cfg).schedule(strategy));
+                }
+                let cfg = ClusterConfig {
+                    nodes: 8,
+                    strategy,
+                    mode: ClusterMode::Pipeline,
+                    ..ClusterConfig::default()
+                };
+                let (stages, cuts) = pipeline_stage_profile(&g, cfg.nodes, 1.0, cfg.microbatches);
+                fold(&pipeline_graph(&stages, &cuts, &cfg).schedule(strategy));
+            }
+            assert_eq!(digest, want, "{name}: the cluster schedule moved");
+        }
     }
 
     #[test]
