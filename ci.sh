@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Local CI: format check, lints, then the tier-1, workspace and benchmark test suites.
+# Local CI: format check, lints, docs, then the tier-1, workspace and benchmark test suites.
 # Everything runs offline against the vendored path dependencies.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -9,6 +9,9 @@ cargo fmt --check
 
 echo "== cargo clippy (warnings denied) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
+
+echo "== cargo doc (warnings denied) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== tier-1: cargo build --release && cargo test -q =="
 cargo build --release --offline

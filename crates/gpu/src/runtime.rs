@@ -10,6 +10,10 @@
 //! running set. Per-kernel launch overhead is part of the kernel's solo time
 //! ([`GpuModel::time`] charges it), so deep graphs pay it on every node.
 //!
+//! The event loop is [`nnrt_graph::listsched`]: the streams are the lanes
+//! of one [`Pool`] and every kernel is a [`Task`] whose work and demand
+//! come from the model. [`GpuRuntime`] builds its tasks once, at prepare.
+//!
 //! Three scheduling strategies mirror the paper's CPU strategy ladder:
 //!
 //! * [`GpuStrategy::Serial`] — one stream, the TensorFlow-on-GPU baseline.
@@ -25,7 +29,8 @@ use crate::kernels::kernel_for;
 use crate::model::{GpuModel, GpuSpec, LaunchConfig};
 use crate::ops::GpuKernel;
 use crate::profile::{GpuProfile, GpuProfileConfig};
-use nnrt_graph::{DataflowGraph, NodeId, OpKey};
+use nnrt_graph::listsched::{list_schedule, Pool, Task};
+use nnrt_graph::{DataflowGraph, OpKey};
 use nnrt_sched::exec::NodeTiming;
 use nnrt_sched::{OpCatalog, ProfilerPool};
 
@@ -145,90 +150,39 @@ pub fn simulate_streams(
     demand_budget: f64,
 ) -> StreamOutcome {
     assert_eq!(launches.len(), deps.len(), "one dep list per launch");
-    let n = launches.len();
-    let solo: Vec<f64> = launches
+    let tasks: Vec<Task> = launches
         .iter()
-        .map(|l| model.time(&l.kernel, l.config))
+        .zip(deps)
+        .map(|(l, preds)| stream_task(model, l, preds.clone()))
         .collect();
-    let demand: Vec<f64> = launches
-        .iter()
-        .map(|l| model.demand(&l.kernel, l.config))
-        .collect();
+    schedule_streams(&tasks, streams, demand_budget)
+}
 
-    let mut indeg: Vec<usize> = deps.iter().map(Vec::len).collect();
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (d, preds) in deps.iter().enumerate() {
-        for &p in preds {
-            succs[p].push(d);
-        }
+/// A launch as a task of the device's stream pool: its solo time and
+/// demand under `model`.
+fn stream_task(model: &GpuModel, launch: &StreamLaunch, preds: Vec<usize>) -> Task {
+    Task {
+        pool: 0,
+        work: model.time(&launch.kernel, launch.config),
+        demand: model.demand(&launch.kernel, launch.config),
+        preds,
     }
-    // Ready list kept sorted ascending; dispatch takes the lowest index
-    // first (insertion order is topological in `DataflowGraph`).
-    let mut ready: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
+}
 
-    struct Running {
-        idx: usize,
-        remaining: f64, // solo-seconds of work left
+/// List-schedules stream tasks on one pool of `streams` lanes, lowest
+/// ready index first.
+fn schedule_streams(tasks: &[Task], streams: u32, demand_budget: f64) -> StreamOutcome {
+    let pool = Pool {
+        lanes: streams.max(1) as usize,
+        demand_budget,
+    };
+    let mut spans = vec![(0.0, 0.0, 0u32); tasks.len()];
+    let mut makespan = 0.0f64;
+    for s in list_schedule(tasks, &[pool], &vec![0.0; tasks.len()]) {
+        spans[s.task] = (s.start, s.finish, s.lane as u32);
+        makespan = makespan.max(s.finish);
     }
-    let mut lanes: Vec<Option<Running>> = (0..streams.max(1)).map(|_| None).collect();
-    let mut spans = vec![(0.0, 0.0, 0u32); n];
-    let mut t = 0.0f64;
-    let mut done = 0usize;
-
-    while done < n {
-        // Dispatch to idle lanes, lowest lane first.
-        let mut total_demand: f64 = lanes.iter().flatten().map(|r| demand[r.idx]).sum();
-        let mut running = lanes.iter().flatten().count();
-        for (lane_idx, slot) in lanes.iter_mut().enumerate() {
-            if slot.is_some() {
-                continue;
-            }
-            let Some(pos) = ready
-                .iter()
-                .position(|&i| running == 0 || total_demand + demand[i] <= demand_budget)
-            else {
-                break;
-            };
-            let idx = ready.remove(pos);
-            total_demand += demand[idx];
-            running += 1;
-            spans[idx].0 = t;
-            spans[idx].2 = lane_idx as u32;
-            *slot = Some(Running {
-                idx,
-                remaining: solo[idx],
-            });
-        }
-        debug_assert!(running > 0, "DAG with pending work must have a ready node");
-
-        // Advance to the next completion under the current contention.
-        let contention = total_demand.max(1.0);
-        let dt = lanes
-            .iter()
-            .flatten()
-            .map(|r| r.remaining * contention)
-            .fold(f64::INFINITY, f64::min);
-        t += dt;
-        for lane in lanes.iter_mut() {
-            let Some(r) = lane else { continue };
-            r.remaining -= dt / contention;
-            if r.remaining <= 1e-15 * solo[r.idx].max(1e-30) {
-                spans[r.idx].1 = t;
-                done += 1;
-                let finished = r.idx;
-                *lane = None;
-                for &d in &succs[finished] {
-                    indeg[d] -= 1;
-                    if indeg[d] == 0 {
-                        let at = ready.partition_point(|&x| x < d);
-                        ready.insert(at, d);
-                    }
-                }
-            }
-        }
-    }
-
-    StreamOutcome { spans, makespan: t }
+    StreamOutcome { spans, makespan }
 }
 
 /// The GPU training runtime: profile (warm-started from a shared store),
@@ -236,10 +190,10 @@ pub fn simulate_streams(
 /// of `nnrt_sched::Runtime`.
 #[derive(Debug, Clone)]
 pub struct GpuRuntime {
-    model: GpuModel,
     config: GpuRuntimeConfig,
     profile: GpuProfile,
-    launches: Vec<StreamLaunch>,
+    /// One stream task per node, built once: solo time, demand, preds.
+    tasks: Vec<Task>,
     keys: Vec<OpKey>,
 }
 
@@ -259,27 +213,26 @@ impl GpuRuntime {
         let profile =
             GpuProfile::fit_missing_pooled(&model, graph, config.profile, warm, budget, pool);
         let catalog = OpCatalog::new(graph);
-        let mut launches = Vec::with_capacity(graph.len());
+        let mut tasks = Vec::with_capacity(graph.len());
         let mut keys = Vec::with_capacity(graph.len());
         for (id, op) in graph.iter() {
-            let kernel = kernel_for(op.kind, catalog.profile(id));
             let key = nnrt_graph::op_key(op.kind, &op.shape);
-            let launch_config = if config.tuned {
-                profile.config_for(&key)
-            } else {
-                LaunchConfig::tf_default()
+            let launch = StreamLaunch {
+                kernel: kernel_for(op.kind, catalog.profile(id)),
+                config: if config.tuned {
+                    profile.config_for(&key)
+                } else {
+                    LaunchConfig::tf_default()
+                },
             };
-            launches.push(StreamLaunch {
-                kernel,
-                config: launch_config,
-            });
+            let preds = graph.preds(id).iter().map(|p| p.0 as usize).collect();
+            tasks.push(stream_task(&model, &launch, preds));
             keys.push(key);
         }
         GpuRuntime {
-            model,
             config,
             profile,
-            launches,
+            tasks,
             keys,
         }
     }
@@ -294,16 +247,6 @@ impl GpuRuntime {
         &self.profile
     }
 
-    /// The occupancy model this runtime schedules against.
-    pub fn model(&self) -> &GpuModel {
-        &self.model
-    }
-
-    /// Per-node launch decisions (tuned or default, per `config.tuned`).
-    pub fn launches(&self) -> &[StreamLaunch] {
-        &self.launches
-    }
-
     /// The stream count the strategy resolves to for this graph: fixed for
     /// `Serial`/`Static`, and derived from the fitted mean demand for
     /// `CorunControlled` (enough streams that their summed demand covers
@@ -316,15 +259,11 @@ impl GpuRuntime {
                 max_streams,
                 demand_budget,
             } => {
-                if self.launches.is_empty() {
+                if self.tasks.is_empty() {
                     return 1;
                 }
-                let mean: f64 = self
-                    .launches
-                    .iter()
-                    .map(|l| self.model.demand(&l.kernel, l.config))
-                    .sum::<f64>()
-                    / self.launches.len() as f64;
+                let mean: f64 =
+                    self.tasks.iter().map(|t| t.demand).sum::<f64>() / self.tasks.len() as f64;
                 ((demand_budget / mean.max(1e-6)).floor() as u32).clamp(1, max_streams.max(1))
             }
         }
@@ -334,41 +273,20 @@ impl GpuRuntime {
     pub fn run_step(&self, graph: &DataflowGraph) -> GpuStepReport {
         assert_eq!(
             graph.len(),
-            self.launches.len(),
+            self.tasks.len(),
             "run_step graph must match the prepared graph"
         );
-        let deps: Vec<Vec<usize>> = (0..graph.len())
-            .map(|i| {
-                graph
-                    .preds(NodeId(i as u32))
-                    .iter()
-                    .map(|p| p.0 as usize)
-                    .collect()
-            })
-            .collect();
         let budget = match self.config.strategy {
             GpuStrategy::CorunControlled { demand_budget, .. } => demand_budget,
             _ => f64::INFINITY,
         };
-        let outcome = simulate_streams(
-            &self.model,
-            &self.launches,
-            &deps,
-            self.stream_count(),
-            budget,
-        );
-        let serial_secs: f64 = self
-            .launches
-            .iter()
-            .map(|l| self.model.time(&l.kernel, l.config))
-            .sum();
+        let outcome = schedule_streams(&self.tasks, self.stream_count(), budget);
+        let serial_secs: f64 = self.tasks.iter().map(|t| t.work).sum();
         let mut timings = Vec::with_capacity(graph.len());
         let mut streams = Vec::with_capacity(graph.len());
         let mut busy = 0.0f64;
         for (i, &(start, finish, stream)) in outcome.spans.iter().enumerate() {
-            let solo = self
-                .model
-                .time(&self.launches[i].kernel, self.launches[i].config);
+            let solo = self.tasks[i].work;
             timings.push(NodeTiming {
                 node: i as u32,
                 start,
@@ -533,31 +451,6 @@ mod tests {
         // The two independent middle nodes actually overlapped.
         assert!(report.streams_used >= 2);
         assert!(report.total_secs < report.serial_secs);
-    }
-
-    #[test]
-    fn admission_control_respects_the_demand_budget() {
-        let model = GpuModel::p100();
-        let launches: Vec<StreamLaunch> = (0..8).map(|_| launch(GpuOpKind::BiasAdd)).collect();
-        let deps = vec![vec![]; launches.len()];
-        let budget = 1.15;
-        let outcome = simulate_streams(&model, &launches, &deps, 4, budget);
-        // At every kernel start, the co-running demand sum must fit the
-        // budget (unless it runs alone).
-        for (i, &(start, _, _)) in outcome.spans.iter().enumerate() {
-            let total: f64 = outcome
-                .spans
-                .iter()
-                .enumerate()
-                .filter(|&(_, &(s, f, _))| s <= start && start < f)
-                .map(|(j, _)| model.demand(&launches[j].kernel, launches[j].config))
-                .sum();
-            let solo = model.demand(&launches[i].kernel, launches[i].config);
-            assert!(
-                total <= budget + 1e-9 || (total - solo).abs() < 1e-12,
-                "launch {i} admitted at demand {total:.3}"
-            );
-        }
     }
 
     #[test]

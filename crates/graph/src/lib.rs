@@ -14,6 +14,9 @@
 //! * [`Shape`] — tensor shapes, e.g. the paper's `par_input (32,8,8,384)`.
 //! * [`OpInstance`] / [`DataflowGraph`] — nodes and the DAG, with validation,
 //!   topological iteration and a ready-set frontier.
+//! * [`listsched`] — offline list scheduling of a task DAG over pools of
+//!   lanes, the event loop of the GPU stream runtime and the cluster
+//!   simulator.
 //! * [`profile`] — the mapping from `(kind, shape)` to a machine-independent
 //!   [`WorkProfile`](nnrt_manycore::WorkProfile), which is what gives every
 //!   op its own scalability curve on the simulated KNL.
@@ -22,6 +25,7 @@
 
 pub mod dist;
 pub mod graph;
+pub mod listsched;
 pub mod ops;
 pub mod profile;
 pub mod shape;

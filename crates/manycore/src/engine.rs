@@ -177,30 +177,8 @@ impl Engine {
         self.jobs.iter().map(|(&id, r)| (JobId(id), r.tag))
     }
 
-    /// Estimated wall-clock seconds until `job` finishes at current rates.
-    pub fn remaining_secs(&self, job: JobId) -> Result<f64, MachineError> {
-        let r = self
-            .jobs
-            .get(&job.0)
-            .ok_or(MachineError::UnknownJob(job.0))?;
-        Ok(r.remaining / r.rate.max(1e-12))
-    }
-
-    /// Longest estimated remaining time among running jobs (used by the
-    /// paper's Strategy 3: a candidate must not outlast the ongoing ops).
-    pub fn max_remaining_secs(&self) -> Option<f64> {
-        self.jobs
-            .keys()
-            .map(|&id| self.remaining_secs(JobId(id)).expect("job exists"))
-            .fold(None, |acc, t| Some(acc.map_or(t, |a: f64| a.max(t))))
-    }
-
-    /// The recorded event trace (empty unless [`Engine::record_trace`] is on).
-    pub fn trace(&self) -> &[EngineEvent] {
-        &self.trace
-    }
-
-    /// Drains and returns the recorded trace.
+    /// Drains and returns the recorded event trace (empty unless
+    /// [`Engine::record_trace`] is on).
     pub fn take_trace(&mut self) -> Vec<EngineEvent> {
         std::mem::take(&mut self.trace)
     }
@@ -221,7 +199,6 @@ impl Engine {
             )));
         }
         profile.validate().map_err(MachineError::InvalidRequest)?;
-        self.settle();
         let placement = self.map.allocate(request)?;
         let id = self.next_id;
         self.next_id += 1;
@@ -301,14 +278,6 @@ impl Engine {
         out
     }
 
-    /// Applies elapsed progress at current rates without crossing any
-    /// completion (internal, called before machine-state changes).
-    fn settle(&mut self) {
-        // Rates only change at launch/finish boundaries; between calls no
-        // time passes implicitly, so there is nothing to do. Kept as an
-        // explicit hook so alternative time sources can be added.
-    }
-
     /// Recomputes every running job's progress rate from the current
     /// co-residency and bandwidth demands.
     fn recompute_rates(&mut self) {
@@ -347,7 +316,6 @@ impl Engine {
                 )
             })
             .collect();
-        let total_footprint: f64 = footprint.values().sum();
 
         let params = self.params.clone();
 
@@ -427,7 +395,6 @@ impl Engine {
                 .collect();
             let cache_others: f64 = disjoint.iter().map(|k| footprint[k]).sum();
             let crowding = if disjoint.len() >= 2 { 6.0 } else { 1.0 };
-            let _ = total_footprint;
             let cache_factor = 1.0
                 + self.params.cache_interference
                     * crowding
@@ -588,7 +555,7 @@ mod tests {
         e.launch(p, 0.010, &req, 2).unwrap();
         e.launch(p, 0.010, &req, 3).unwrap();
         e.drain();
-        let trace = e.trace();
+        let trace = e.take_trace();
         assert_eq!(trace.len(), 6);
         let starts: Vec<u32> = trace
             .iter()
@@ -603,15 +570,6 @@ mod tests {
             .collect();
         // The finishing op counts at its own completion instant.
         assert_eq!(finishes, vec![3, 2, 1]);
-    }
-
-    #[test]
-    fn remaining_secs_tracks_progress() {
-        let mut e = engine();
-        let req = PlacementRequest::primary(10, SharingMode::Compact);
-        let id = e.launch(conv_profile(), 0.050, &req, 1).unwrap();
-        assert!((e.remaining_secs(id).unwrap() - 0.050).abs() < 1e-9);
-        assert!(e.remaining_secs(JobId(999)).is_err());
     }
 
     #[test]

@@ -14,12 +14,8 @@ pub enum MachineError {
         /// Hardware contexts currently available under the request's policy.
         available: u32,
     },
-    /// A job id was used after the job finished or was never launched.
-    UnknownJob(u64),
     /// A request carried an invalid parameter (zero threads, NaN work, …).
     InvalidRequest(String),
-    /// The engine was asked to advance but no job is running.
-    NothingRunning,
 }
 
 impl fmt::Display for MachineError {
@@ -30,9 +26,7 @@ impl fmt::Display for MachineError {
                 f,
                 "placement unsatisfiable: requested {requested} threads, {available} contexts available"
             ),
-            MachineError::UnknownJob(id) => write!(f, "unknown job id {id}"),
             MachineError::InvalidRequest(msg) => write!(f, "invalid request: {msg}"),
-            MachineError::NothingRunning => write!(f, "no job is running"),
         }
     }
 }

@@ -226,7 +226,9 @@ impl RpcClient {
 
     /// One request/response exchange. Typed server refusals come back as
     /// `Ok(Response::Error(..))`; the convenience wrappers below lift them
-    /// into [`ClientError::Rejected`].
+    /// into [`ClientError::Rejected`]. A request over the frame cap is
+    /// refused locally as [`ClientError::Frame`] with
+    /// [`FrameError::TooLarge`], and nothing is sent.
     pub fn request(&mut self, request: &Request) -> Result<Response, ClientError> {
         write_frame(&mut self.stream, &encode(request))?;
         let payload = read_frame(&mut self.stream)?;
@@ -342,6 +344,18 @@ mod tests {
             max_attempts: 10,
             jitter_seed: 0,
         }
+    }
+
+    #[test]
+    fn a_request_over_the_frame_cap_is_refused_before_sending() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = RpcClient::connect(listener.local_addr().unwrap()).unwrap();
+        let mut spec = SubmitSpec::new("dcgan");
+        spec.name = "x".repeat(crate::protocol::MAX_FRAME_LEN as usize);
+        assert!(matches!(
+            client.request(&Request::Submit(spec)),
+            Err(ClientError::Frame(FrameError::TooLarge(_)))
+        ));
     }
 
     #[test]

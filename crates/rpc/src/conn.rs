@@ -25,8 +25,8 @@
 //! frees.
 
 use crate::protocol::{
-    decode, encode, frame_bytes, frame_from_buf, ErrorFrame, ErrorKind, FrameError, Request,
-    Response,
+    check_frame_len, decode, encode, frame_bytes, frame_from_buf, ErrorFrame, ErrorKind,
+    FrameError, Request, Response,
 };
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -268,8 +268,15 @@ impl Connection {
             }
             let slot = self.pending.pop_front().expect("front exists");
             let response = slot.response.expect("front is answered");
-            self.wbuf
-                .extend_from_slice(&frame_bytes(&encode(&response)));
+            let mut payload = encode(&response);
+            if let Err(e) = check_frame_len(&payload) {
+                payload = encode(&Response::Error(ErrorFrame {
+                    kind: ErrorKind::TooLarge,
+                    message: e.to_string(),
+                    retry_after_secs: None,
+                }));
+            }
+            self.wbuf.extend_from_slice(&frame_bytes(&payload));
         }
         while self.wpos < self.wbuf.len() {
             match self.stream.write(&self.wbuf[self.wpos..]) {
@@ -411,6 +418,23 @@ mod tests {
                 Response::Jobs(vec![]),
             ]
         );
+    }
+
+    #[test]
+    fn a_response_over_the_frame_cap_goes_out_as_a_typed_error() {
+        let (mut client, server) = pair();
+        let mut conn = Connection::new(3, server, true).unwrap();
+        push_request(&mut conn, &Request::Metrics);
+        conn.parse_frames(16, &mut |_, _, _| None);
+        // The JSON envelope around this text puts the payload over the cap.
+        let text = "x".repeat(crate::protocol::MAX_FRAME_LEN as usize);
+        conn.fill(0, Response::Metrics { text });
+        conn.flush();
+        client.set_nonblocking(false).unwrap();
+        match decode(&read_frame(&mut client).unwrap()).unwrap() {
+            Response::Error(frame) => assert_eq!(frame.kind, ErrorKind::TooLarge),
+            other => panic!("expected a TooLarge error frame, got {other:?}"),
+        }
     }
 
     #[test]

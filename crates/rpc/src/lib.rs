@@ -54,8 +54,9 @@ pub mod server;
 
 pub use client::{ClientConfig, ClientError, JitterBackoff, RetryPolicy, RpcClient};
 pub use protocol::{
-    decode, encode, frame_bytes, frame_from_buf, read_frame, write_frame, ErrorFrame, ErrorKind,
-    FrameError, Request, Response, SnapshotInfo, SubmitSpec, MAX_FRAME_LEN, PROTOCOL_VERSION,
+    check_frame_len, decode, encode, frame_bytes, frame_from_buf, read_frame, write_frame,
+    ErrorFrame, ErrorKind, FrameError, Request, Response, SnapshotInfo, SubmitSpec, MAX_FRAME_LEN,
+    PROTOCOL_VERSION,
 };
 pub use server::{
     DrainPolicy, FleetServer, ServerConfig, CONNECTION_RETRY_SECS, DEFAULT_IDLE_TIMEOUT,

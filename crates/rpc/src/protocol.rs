@@ -46,6 +46,9 @@ pub enum FrameError {
     Io(std::io::Error),
     /// The length prefix exceeds [`MAX_FRAME_LEN`] or is zero.
     BadLength(u32),
+    /// A frame to send would be this many bytes long (version byte plus
+    /// payload), over [`MAX_FRAME_LEN`]: no reader would accept it.
+    TooLarge(usize),
     /// The frame's version byte differs from [`PROTOCOL_VERSION`].
     Version(u8),
     /// The payload is not valid UTF-8 JSON of the expected shape.
@@ -58,6 +61,9 @@ impl fmt::Display for FrameError {
             FrameError::Io(e) => write!(f, "i/o error: {e}"),
             FrameError::BadLength(n) => {
                 write!(f, "frame length {n} outside 1..={MAX_FRAME_LEN}")
+            }
+            FrameError::TooLarge(n) => {
+                write!(f, "frame length {n} over the {MAX_FRAME_LEN}-byte cap")
             }
             FrameError::Version(v) => {
                 write!(
@@ -78,10 +84,22 @@ impl From<std::io::Error> for FrameError {
     }
 }
 
+/// Checks that `payload` fits one frame: the version byte plus the payload
+/// must not exceed [`MAX_FRAME_LEN`], the cap every reader enforces.
+pub fn check_frame_len(payload: &str) -> Result<(), FrameError> {
+    let len = payload.len() + 1;
+    if len > MAX_FRAME_LEN as usize {
+        return Err(FrameError::TooLarge(len));
+    }
+    Ok(())
+}
+
 /// Serializes one frame (length prefix + version byte + `payload` JSON
 /// text) into a single contiguous buffer — the wire bytes `write_frame`
-/// emits and `read_frame`/`frame_from_buf` consume.
+/// emits and `read_frame`/`frame_from_buf` consume. Panics on a payload
+/// over the frame cap: senders check it with [`check_frame_len`] first.
 pub fn frame_bytes(payload: &str) -> Vec<u8> {
+    check_frame_len(payload).expect("frame payload over MAX_FRAME_LEN");
     let len = payload.len() as u32 + 1;
     let mut buf = Vec::with_capacity(4 + 1 + payload.len());
     buf.extend_from_slice(&len.to_be_bytes());
@@ -93,10 +111,14 @@ pub fn frame_bytes(payload: &str) -> Vec<u8> {
 /// Writes one frame (version byte + `payload` JSON text) to `w` as a single
 /// write — header, version, and payload go out in one syscall instead of
 /// three, so a frame never straddles a kernel send-buffer boundary
-/// needlessly and small requests stay one packet under `TCP_NODELAY`.
-pub fn write_frame(w: &mut impl Write, payload: &str) -> std::io::Result<()> {
+/// needlessly and small requests stay one packet under `TCP_NODELAY`. A
+/// payload over the frame cap is refused with [`FrameError::TooLarge`]
+/// before any byte is written.
+pub fn write_frame(w: &mut impl Write, payload: &str) -> Result<(), FrameError> {
+    check_frame_len(payload)?;
     w.write_all(&frame_bytes(payload))?;
-    w.flush()
+    w.flush()?;
+    Ok(())
 }
 
 /// Tries to parse one complete frame from the front of an accumulation
@@ -243,6 +265,9 @@ pub enum ErrorKind {
     VersionMismatch,
     /// The server is draining after a `Shutdown` and accepts no new work.
     ShuttingDown,
+    /// The response would not fit one frame ([`MAX_FRAME_LEN`]); the
+    /// server sends this instead of a frame no reader would accept.
+    TooLarge,
 }
 
 /// A typed refusal, sent instead of the success response. `Saturated`
@@ -537,6 +562,21 @@ mod tests {
             frame_from_buf(&skewed),
             Err(FrameError::Version(v)) if v == PROTOCOL_VERSION + 1
         ));
+    }
+
+    #[test]
+    fn senders_refuse_a_payload_just_over_the_cap() {
+        let fits = "x".repeat(MAX_FRAME_LEN as usize - 1);
+        assert!(check_frame_len(&fits).is_ok());
+        assert_eq!(frame_bytes(&fits).len(), 4 + MAX_FRAME_LEN as usize);
+
+        let over = "x".repeat(MAX_FRAME_LEN as usize);
+        let mut written = Vec::new();
+        assert!(matches!(
+            write_frame(&mut written, &over),
+            Err(FrameError::TooLarge(n)) if n == MAX_FRAME_LEN as usize + 1
+        ));
+        assert!(written.is_empty(), "nothing goes out for a refused frame");
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! `Fleet` (the service loop) — no locks on either side. The event loop
 //! multiplexes thousands of connections through a readiness poller
 //! ([`crate::poll`]): each connection is a state machine
-//! ([`crate::conn`]) that accumulates bytes, decodes length-prefixed
+//! (the private `conn` module) that accumulates bytes, decodes length-prefixed
 //! frames, claims an ordered response slot per request, and write-drains
 //! its outbox when the socket accepts bytes. Requests cross to the service
 //! thread through the same bounded command inbox the threaded server used;
